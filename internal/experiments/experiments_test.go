@@ -351,10 +351,20 @@ func TestCompareClusterers(t *testing.T) {
 	if r.KMeansF1 < 0.8 {
 		t.Errorf("k-means F1 %.3f", r.KMeansF1)
 	}
-	// Section V-D1: K-means beats graph partitioning on the cataloging task.
-	if r.KMeansScore < r.GraphScore {
-		t.Errorf("k-means score %.3f below graph partitioning %.3f",
-			r.KMeansScore, r.GraphScore)
+	// Section V-D1: K-means beats graph partitioning on the cataloging task,
+	// for every game.
+	rows, err := GraphPartitionAblation(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != len(ctx.System.Games()) {
+		t.Fatalf("ablation rows = %d, want one per game", len(rows))
+	}
+	for _, r := range rows {
+		if r.KMeansScore <= r.GraphScore {
+			t.Errorf("%s: k-means score %.3f not above graph partitioning %.3f",
+				r.Game, r.KMeansScore, r.GraphScore)
+		}
 	}
 	if _, err := CompareClusterers(ctx, "nope"); err == nil {
 		t.Error("unknown game did not error")

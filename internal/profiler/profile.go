@@ -390,10 +390,11 @@ func (p *Profile) signatureOf(frames []resources.Vector, minShare float64) []int
 		}
 	}
 	if len(set) == 0 {
-		// Degenerate segment: keep its most frequent cluster.
+		// Degenerate segment: keep its most frequent cluster, the lowest
+		// id among equally frequent ones so map order cannot decide.
 		best, bestN := -1, 0
 		for c, n := range counts {
-			if n > bestN {
+			if n > bestN || (n == bestN && c < best) {
 				best, bestN = c, n
 			}
 		}

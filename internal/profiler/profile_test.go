@@ -3,6 +3,7 @@ package profiler
 import (
 	"testing"
 
+	"cocg/internal/cluster"
 	"cocg/internal/gamesim"
 	"cocg/internal/resources"
 )
@@ -224,5 +225,23 @@ func TestElbowKSelection(t *testing.T) {
 	k := p.Clusters.K()
 	if k < 2 || k > 3 {
 		t.Errorf("elbow chose K = %d for Contra, want 2 (±1)", k)
+	}
+}
+
+// TestSignatureOfDegenerateTie covers the fallback for a segment in which no
+// cluster reaches the minimum share: among equally frequent clusters the
+// lowest id must win on every call, not whichever the map yields first.
+func TestSignatureOfDegenerateTie(t *testing.T) {
+	c0, c1, c2 := resources.New(0, 0, 0, 0), resources.New(50, 0, 0, 0), resources.New(0, 50, 0, 0)
+	p := &Profile{
+		Clusters:         &cluster.Result{Centroids: []resources.Vector{c0, c1, c2}},
+		LoadingClusterID: 0,
+	}
+	// Clusters 1 and 2 tie at two frames each, below the 0.6 share (3 of 5).
+	seg := []resources.Vector{c2, c1, c0, c2, c1}
+	for call := 0; call < 200; call++ {
+		if got := p.signatureOf(seg, 0.6); len(got) != 1 || got[0] != 1 {
+			t.Fatalf("call %d: signatureOf = %v, want [1]", call, got)
+		}
 	}
 }

@@ -165,8 +165,10 @@ func (v Vector) L2() float64 {
 }
 
 // Dist returns the Euclidean distance between v and w; this is the metric the
-// frame clusterer uses.
-func (v Vector) Dist(w Vector) float64 { return v.Sub(w).L2() }
+// frame clusterer uses. It is Sqrt(Dist2) by construction — the same
+// operations as Sub(w).L2() — so a comparison of squared distances orders
+// pairs exactly as a comparison of distances does.
+func (v Vector) Dist(w Vector) float64 { return math.Sqrt(v.Dist2(w)) }
 
 // Dist2 returns the squared Euclidean distance between v and w.
 func (v Vector) Dist2(w Vector) float64 {

@@ -106,6 +106,31 @@ func TestDistances(t *testing.T) {
 	}
 }
 
+// TestDistIsSqrtDist2 pins Dist to the bits of its former definition,
+// Sub(w).L2(), and to Sqrt(Dist2): callers that prune on squared distances
+// rely on the two metrics ordering pairs identically.
+func TestDistIsSqrtDist2(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	scales := []float64{0, 1e-300, 1, 100, 1e6, 1e150}
+	for trial := 0; trial < 20000; trial++ {
+		var v, w Vector
+		for d := range v {
+			v[d] = (rng.Float64()*2 - 1) * scales[rng.Intn(len(scales))]
+			w[d] = (rng.Float64()*2 - 1) * scales[rng.Intn(len(scales))]
+			if rng.Intn(8) == 0 {
+				w[d] = v[d]
+			}
+		}
+		got := v.Dist(w)
+		if old := v.Sub(w).L2(); math.Float64bits(got) != math.Float64bits(old) {
+			t.Fatalf("Dist(%v, %v) = %v, Sub().L2() = %v", v, w, got, old)
+		}
+		if sq := math.Sqrt(v.Dist2(w)); math.Float64bits(got) != math.Float64bits(sq) {
+			t.Fatalf("Dist(%v, %v) = %v, Sqrt(Dist2) = %v", v, w, got, sq)
+		}
+	}
+}
+
 func TestRatio(t *testing.T) {
 	grant := New(50, 30, 0, 10)
 	demand := New(100, 30, 0, 20)

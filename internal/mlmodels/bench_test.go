@@ -95,17 +95,33 @@ func benchPredictFn(b *testing.B, fx *benchFixture, fn func(x []float64) int) {
 
 func BenchmarkDTCPredictPointer(b *testing.B) {
 	fx := newBenchFixture(b)
-	benchPredictFn(b, fx, fx.dtc.predictPointer)
+	m := newLegacyDTC(TreeConfig{Seed: 1})
+	benchLegacyFit(b, m.fitLegacy, fx.ds)
+	benchPredictFn(b, fx, m.predictPointer)
 }
 
 func BenchmarkRFPredictPointer(b *testing.B) {
 	fx := newBenchFixture(b)
-	benchPredictFn(b, fx, fx.rf.predictPointer)
+	m := newLegacyRF(ForestConfig{NumTrees: 40, Seed: 1})
+	benchLegacyFit(b, m.fitLegacy, fx.ds)
+	benchPredictFn(b, fx, m.predictPointer)
 }
 
 func BenchmarkGBDTPredictPointer(b *testing.B) {
 	fx := newBenchFixture(b)
-	benchPredictFn(b, fx, fx.gb.predictPointer)
+	m := newLegacyGBDT(GBDTConfig{NumRounds: 40, Seed: 1})
+	benchLegacyFit(b, m.fitLegacy, fx.ds)
+	benchPredictFn(b, fx, m.predictPointer)
+}
+
+// benchLegacyFit grows the pointer trees the *PredictPointer benchmarks
+// walk; the golden suite pins them to the fixture's fitted models, so both
+// benchmark families measure the same trees on the same queries.
+func benchLegacyFit(b *testing.B, fit func(*Dataset) error, ds *Dataset) {
+	b.Helper()
+	if err := fit(ds); err != nil {
+		b.Fatal(err)
+	}
 }
 
 // benchPredictBatch measures PredictBatch over the full query matrix and
@@ -191,7 +207,7 @@ func BenchmarkDTCFit(b *testing.B) {
 }
 
 func BenchmarkDTCFitLegacy(b *testing.B) {
-	benchFit(b, NewDecisionTree(TreeConfig{Seed: 1}).fitLegacy, benchFitDataset(b))
+	benchFit(b, newLegacyDTC(TreeConfig{Seed: 1}).fitLegacy, benchFitDataset(b))
 }
 
 func BenchmarkRFFit(b *testing.B) {
@@ -199,7 +215,7 @@ func BenchmarkRFFit(b *testing.B) {
 }
 
 func BenchmarkRFFitLegacy(b *testing.B) {
-	benchFit(b, NewRandomForest(ForestConfig{NumTrees: 40, Seed: 1}).fitLegacy, benchFitDataset(b))
+	benchFit(b, newLegacyRF(ForestConfig{NumTrees: 40, Seed: 1}).fitLegacy, benchFitDataset(b))
 }
 
 func BenchmarkGBDTFit(b *testing.B) {
@@ -207,5 +223,5 @@ func BenchmarkGBDTFit(b *testing.B) {
 }
 
 func BenchmarkGBDTFitLegacy(b *testing.B) {
-	benchFit(b, NewGBDT(GBDTConfig{NumRounds: 40, Seed: 1}).fitLegacy, benchFitDataset(b))
+	benchFit(b, newLegacyGBDT(GBDTConfig{NumRounds: 40, Seed: 1}).fitLegacy, benchFitDataset(b))
 }

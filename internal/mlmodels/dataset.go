@@ -172,18 +172,3 @@ func (s *EvalScratch) Predict(c Classifier, ds *Dataset) ([]int, error) {
 	}
 	return out, nil
 }
-
-// majorityLabel returns the most frequent label among idx rows of samples.
-func majorityLabel(samples []Sample, idx []int, numClasses int) int {
-	counts := make([]int, numClasses)
-	for _, i := range idx {
-		counts[samples[i].Label]++
-	}
-	best, bestN := 0, -1
-	for c, n := range counts {
-		if n > bestN {
-			best, bestN = c, n
-		}
-	}
-	return best
-}

@@ -43,9 +43,10 @@ func goldenDatasets() map[string]*Dataset {
 	}
 }
 
-// mustMarshal serializes a fitted model through its MarshalJSON — the
-// pointer trees are the serialization source of truth, so byte equality
-// here means split-for-split, threshold-for-threshold identical models.
+// mustMarshal serializes a fitted model through its MarshalJSON, which maps
+// every arena node — feature, threshold or leaf payload, children — to one
+// JSON node, so byte equality here means split-for-split,
+// threshold-for-threshold identical models.
 func mustMarshal(t *testing.T, m Classifier) []byte {
 	t.Helper()
 	raw, err := json.Marshal(m)
@@ -70,7 +71,7 @@ func TestDTCFitMatchesLegacyGolden(t *testing.T) {
 	}
 	for name, ds := range goldenDatasets() {
 		for _, cfg := range cfgs {
-			ref := NewDecisionTree(cfg)
+			ref := newLegacyDTC(cfg)
 			if err := ref.fitLegacy(ds); err != nil {
 				t.Fatalf("%s %+v: legacy fit: %v", name, cfg, err)
 			}
@@ -97,7 +98,7 @@ func TestRFFitMatchesLegacyGolden(t *testing.T) {
 	}
 	for name, ds := range goldenDatasets() {
 		for _, cfg := range cfgs {
-			ref := NewRandomForest(cfg)
+			ref := newLegacyRF(cfg)
 			if err := ref.fitLegacy(ds); err != nil {
 				t.Fatalf("%s %+v: legacy fit: %v", name, cfg, err)
 			}
@@ -128,7 +129,7 @@ func TestGBDTFitMatchesLegacyGolden(t *testing.T) {
 	}
 	for name, ds := range goldenDatasets() {
 		for _, cfg := range cfgs {
-			ref := NewGBDT(cfg)
+			ref := newLegacyGBDT(cfg)
 			if err := ref.fitLegacy(ds); err != nil {
 				t.Fatalf("%s %+v: legacy fit: %v", name, cfg, err)
 			}

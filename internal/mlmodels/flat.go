@@ -2,23 +2,23 @@ package mlmodels
 
 import "errors"
 
-// Flat inference layout: after fitting, every tree ensemble compiles its
-// pointer-linked treeNodes into one contiguous []flatNode arena walked
-// iteratively at prediction time. The online loop calls Predict once per
-// stage boundary for every co-located session, so prediction is a production
-// hot path: a pointer tree costs one likely cache miss per level per tree,
-// while the arena packs nodes in preorder (a node's left child is always the
-// next element) so a root-to-leaf walk mostly stays inside a few cache lines.
-// Compilation changes only the memory layout — the walk performs exactly the
-// same comparisons in the same order as the pointer tree, so predictions are
-// byte-identical.
+// Flat tree layout: every tree — the DTC, each RF member, each GBDT class
+// tree — is one preorder run of []flatNode in its model's arena, grown there
+// directly by Fit (fit.go) and mapped node for node to and from JSON
+// (serialize.go). The online loop calls Predict once per stage boundary for
+// every co-located session, so prediction is a production hot path: the
+// arena packs nodes in preorder (a node's left child is always the next
+// element) so a root-to-leaf walk mostly stays inside a few cache lines.
+// Child offsets are relative to the tree's first node, so a tree's nodes are
+// the same slice whether they sit alone, in a forest's shared arena, or in
+// the JSON node list.
 
 // ErrShortOutput is returned by PredictBatch when the out slice cannot hold
 // one prediction per input row.
 var ErrShortOutput = errors.New("mlmodels: output slice shorter than input batch")
 
-// flatNode is one compiled tree node in the arena. Children are int32
-// offsets into the same arena; feature == -1 marks a leaf carrying either a
+// flatNode is one tree node in the arena. Children are int32 offsets from
+// the tree's first node; feature == -1 marks a leaf carrying either a
 // classification label or a regression value.
 type flatNode struct {
 	// param is the split threshold for interior nodes; for leaves it holds
@@ -28,8 +28,8 @@ type flatNode struct {
 	// (a 24-byte packing measured slower for that reason).
 	param   float64
 	feature int32 // split feature; -1 for leaf
-	left    int32 // arena offset; preorder layout makes this idx+1
-	right   int32 // arena offset
+	left    int32 // tree offset; preorder layout makes this idx+1
+	right   int32 // tree offset
 	label   int32 // classification leaf payload
 	_       int64 // pad to 32 bytes (see above)
 }
@@ -44,92 +44,36 @@ func (n *flatNode) leafValue() float64 { return n.param }
 // fall back to an allocation.
 const scratchClasses = 64
 
-// countNodes sizes an arena so compilation allocates exactly once.
-func countNodes(n *treeNode) int {
-	if n == nil {
-		return 0
-	}
-	return 1 + countNodes(n.left) + countNodes(n.right)
-}
-
-// appendFlat compiles the subtree rooted at n into the arena in preorder and
-// returns its root offset.
-func appendFlat(arena *[]flatNode, n *treeNode) int32 {
-	idx := int32(len(*arena))
-	param := n.threshold
-	if n.feature < 0 {
-		param = n.value
-	}
-	*arena = append(*arena, flatNode{
-		feature: int32(n.feature),
-		param:   param,
-		label:   int32(n.label),
-		left:    -1,
-		right:   -1,
-	})
-	if n.feature >= 0 {
-		l := appendFlat(arena, n.left)
-		r := appendFlat(arena, n.right)
-		(*arena)[idx].left = l
-		(*arena)[idx].right = r
-	}
-	return idx
-}
-
-// compileTree compiles one tree into its own arena.
-func compileTree(root *treeNode) []flatNode {
-	arena := make([]flatNode, 0, countNodes(root))
-	appendFlat(&arena, root)
-	return arena
-}
-
-// compileForest compiles a list of trees into one shared arena, returning
-// each tree's root offset.
-func compileForest(trees []*treeNode) ([]flatNode, []int32) {
-	total := 0
-	for _, t := range trees {
-		total += countNodes(t)
-	}
-	arena := make([]flatNode, 0, total)
-	roots := make([]int32, len(trees))
-	for i, t := range trees {
-		roots[i] = appendFlat(&arena, t)
-	}
-	return arena, roots
-}
-
-// compileRounds compiles GBDT's trees[round][class] grid into one arena.
-func compileRounds(rounds [][]*treeNode) ([]flatNode, [][]int32) {
-	total := 0
-	for _, round := range rounds {
-		for _, t := range round {
-			total += countNodes(t)
-		}
-	}
-	arena := make([]flatNode, 0, total)
-	roots := make([][]int32, len(rounds))
-	for r, round := range rounds {
-		roots[r] = make([]int32, len(round))
-		for c, t := range round {
-			roots[r][c] = appendFlat(&arena, t)
-		}
-	}
-	return arena, roots
-}
-
-// flatLeaf walks the tree rooted at offset root and returns the leaf x lands
-// in. The comparison (x[f] <= threshold goes left) matches the pointer walk
-// exactly.
+// flatLeaf walks the tree whose nodes start at arena offset root and
+// returns the leaf x lands in; x[f] <= threshold goes left.
 func flatLeaf(arena []flatNode, root int32, x []float64) *flatNode {
 	n := &arena[root]
 	for n.feature >= 0 {
 		if x[n.feature] <= n.param {
-			n = &arena[n.left]
+			n = &arena[root+n.left]
 		} else {
-			n = &arena[n.right]
+			n = &arena[root+n.right]
 		}
 	}
 	return n
+}
+
+// treeDepth returns the depth of the tree whose nodes are tree (a single
+// leaf has depth 1). Children always sit after their parent, so one
+// backward pass sees both children's depths before the parent's.
+func treeDepth(tree []flatNode) int {
+	if len(tree) == 0 {
+		return 0
+	}
+	d := make([]int32, len(tree))
+	for i := len(tree) - 1; i >= 0; i-- {
+		n := &tree[i]
+		d[i] = 1
+		if n.feature >= 0 {
+			d[i] += max(d[n.left], d[n.right])
+		}
+	}
+	return int(d[0])
 }
 
 // BatchPredictor is implemented by classifiers with a batch prediction path:

@@ -45,9 +45,10 @@ func queries(r *rand.Rand, n, nfeat int) [][]float64 {
 	return out
 }
 
-// TestFlatMatchesPointer is the core compilation property: for every model
-// the flat-arena walk must return exactly the label the pointer-tree
-// reference walk returns, on every query, over many randomized datasets.
+// TestFlatMatchesPointer is the core layout property: for every model the
+// arena walk of Fit's trees must return exactly the label the legacy
+// builder's pointer-tree walk returns, on every query, over many randomized
+// datasets.
 func TestFlatMatchesPointer(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		trial := trial
@@ -58,11 +59,12 @@ func TestFlatMatchesPointer(t *testing.T) {
 			ds := randDataset(t, r, 150+r.Intn(300), nfeat, nclass)
 			qs := queries(r, 200, nfeat)
 
-			dtc := NewDecisionTree(TreeConfig{Seed: int64(trial)})
-			rf := NewRandomForest(ForestConfig{NumTrees: 12, Seed: int64(trial)})
-			gb := NewGBDT(GBDTConfig{NumRounds: 8, Seed: int64(trial)})
-			for _, m := range []Classifier{dtc, rf, gb} {
-				if err := m.Fit(ds); err != nil {
+			dtcCfg := TreeConfig{Seed: int64(trial)}
+			rfCfg := ForestConfig{NumTrees: 12, Seed: int64(trial)}
+			gbCfg := GBDTConfig{NumRounds: 8, Seed: int64(trial)}
+			dtc, rf, gb := newLegacyDTC(dtcCfg), newLegacyRF(rfCfg), newLegacyGBDT(gbCfg)
+			for _, fit := range []func(*Dataset) error{dtc.fitLegacy, rf.fitLegacy, gb.fitLegacy} {
+				if err := fit(ds); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -71,7 +73,10 @@ func TestFlatMatchesPointer(t *testing.T) {
 				"RF":   rf.predictPointer,
 				"GBDT": gb.predictPointer,
 			}
-			for _, m := range []Classifier{dtc, rf, gb} {
+			for _, m := range []Classifier{NewDecisionTree(dtcCfg), NewRandomForest(rfCfg), NewGBDT(gbCfg)} {
+				if err := m.Fit(ds); err != nil {
+					t.Fatal(err)
+				}
 				ref := refs[m.Name()]
 				for qi, x := range qs {
 					got, err := m.Predict(x)
@@ -142,9 +147,9 @@ func TestPredictBatchShortOutput(t *testing.T) {
 	}
 }
 
-// TestSerializeRebuildsFlat checks the JSON round-trip rebuilds the flat
+// TestSerializeRebuildsFlat checks the JSON round-trip rebuilds the node
 // arenas: a deserialized model must predict identically to the original on
-// fresh queries (the deserialized model's Predict runs on its recompiled
+// fresh queries (the deserialized model's Predict runs on its decoded
 // arena, so equality here proves the arena was rebuilt correctly).
 func TestSerializeRebuildsFlat(t *testing.T) {
 	r := rand.New(rand.NewSource(11))

@@ -3,6 +3,7 @@ package mlmodels
 import (
 	"math"
 	"math/rand"
+	"slices"
 
 	"cocg/internal/parallel"
 )
@@ -30,11 +31,8 @@ func (c ForestConfig) withDefaults() ForestConfig {
 // RandomForest is the paper's RF predictor: bagged CART trees with random
 // feature subsets at every split, majority vote at prediction time.
 type RandomForest struct {
-	cfg ForestConfig
-	// trees holds the pointer trees (serialization source of truth);
-	// prediction walks the shared flat arena instead.
-	trees  []*treeNode
-	flat   []flatNode // all member trees compiled contiguously
+	cfg    ForestConfig
+	flat   []flatNode // all member trees, end to end (see flat.go)
 	roots  []int32    // arena offset of each member tree's root
 	nfeat  int
 	nclass int
@@ -71,7 +69,7 @@ func (f *RandomForest) Name() string { return "RF" }
 // shared index down to its bootstrap rows (multiplicities become per-row
 // weights), and tree workers draw reusable scratches from a free list. The
 // fitted forest — trees and OOB estimate — is byte-identical to the legacy
-// per-node-sorting builder (fitLegacy) at every worker count.
+// per-node-sorting builder (legacy_test.go) at every worker count.
 func (f *RandomForest) Fit(ds *Dataset) error {
 	if ds == nil || ds.Len() == 0 {
 		return ErrEmptyDataset
@@ -104,7 +102,7 @@ func (f *RandomForest) Fit(ds *Dataset) error {
 		scratches = f.cfg.NumTrees
 	}
 	f.fit.prepare(ds, f.cfg.Workers, scratches, 1, treeCfg.MaxDepth)
-	f.trees = make([]*treeNode, f.cfg.NumTrees)
+	trees := make([][]flatNode, f.cfg.NumTrees)
 	// oobPred[t][i] is tree t's prediction for sample i when the bootstrap
 	// missed it, or -1 when sample i was in tree t's bag.
 	oobPred := make([][]int32, f.cfg.NumTrees)
@@ -122,32 +120,42 @@ func (f *RandomForest) Fit(ds *Dataset) error {
 			w[treeRNG.Intn(n)]++
 		}
 		ts.beginBag()
-		tree := ts.growClass(treeCfg, treeRNG, 0, ts.m, n, 0, nil)
-		// OOB predictions read ts.w (the in-bag marks), so they run before
-		// the scratch goes back to the free list. The walk runs over a
-		// flat compile of the fresh tree (reusing the scratch's arena
-		// buffer) — same tree, same predictions, contiguous nodes.
-		ts.oobFlat = ts.oobFlat[:0]
-		appendFlat(&ts.oobFlat, tree)
+		ts.growClass(treeCfg, treeRNG, 0, ts.m, n, 0, nil)
+		// OOB predictions read ts.w (the in-bag marks) and walk the fresh
+		// tree in ts.nodes, so they run before the scratch goes back to the
+		// free list.
 		pred := make([]int32, n)
 		for i, s := range ds.Samples {
 			if ts.w[i] > 0 {
 				pred[i] = -1
 				continue
 			}
-			pred[i] = flatLeaf(ts.oobFlat, 0, s.Features).label
+			pred[i] = flatLeaf(ts.nodes, 0, s.Features).label
 		}
+		trees[t] = slices.Clone(ts.nodes)
 		f.fit.free <- ts
-		f.trees[t] = tree
 		oobPred[t] = pred
 	})
+	f.flat, f.roots = joinTrees(trees)
 	f.finishFit(ds, oobPred)
 	return nil
 }
 
+// joinTrees lays trees end to end in one arena and returns each tree's
+// start offset.
+func joinTrees(trees [][]flatNode) ([]flatNode, []int32) {
+	roots := make([]int32, len(trees))
+	total := 0
+	for i, t := range trees {
+		roots[i] = int32(total)
+		total += len(t)
+	}
+	return slices.Concat(trees...), roots
+}
+
 // finishFit aggregates the per-tree OOB predictions into the forest's OOB
-// accuracy and compiles the flat inference arena — the tail both Fit and
-// fitLegacy share.
+// accuracy and marks the forest fitted — the tail both Fit and the legacy
+// reference builder share.
 func (f *RandomForest) finishFit(ds *Dataset, oobPred [][]int32) {
 	n := ds.Len()
 	// oobVotes[i][c] counts class-c votes for sample i from trees that did
@@ -185,64 +193,9 @@ func (f *RandomForest) finishFit(ds *Dataset, oobPred [][]int32) {
 	} else {
 		f.oob = -1
 	}
-	f.flat, f.roots = compileForest(f.trees)
 	f.nfeat = ds.NumFeatures
 	f.nclass = ds.NumClasses
 	f.fitted = true
-}
-
-// fitLegacy is the pre-sorted trainer's reference implementation: the
-// original builder that re-sorts every feature at every node, retained for
-// the golden equivalence suite and the recorded before/after benchmarks.
-func (f *RandomForest) fitLegacy(ds *Dataset) error {
-	if ds == nil || ds.Len() == 0 {
-		return ErrEmptyDataset
-	}
-	rng := rand.New(rand.NewSource(f.cfg.Seed))
-	treeCfg := f.cfg.Tree
-	if treeCfg.FeatureSubset <= 0 {
-		treeCfg.FeatureSubset = int(math.Sqrt(float64(ds.NumFeatures)))
-		if treeCfg.FeatureSubset < 1 {
-			treeCfg.FeatureSubset = 1
-		}
-	}
-	n := ds.Len()
-	seeds := make([]int64, f.cfg.NumTrees)
-	for t := range seeds {
-		seeds[t] = rng.Int63()
-	}
-	f.trees = make([]*treeNode, f.cfg.NumTrees)
-	oobPred := make([][]int32, f.cfg.NumTrees)
-	parallel.For(f.cfg.Workers, f.cfg.NumTrees, func(t int) {
-		treeRNG := rand.New(rand.NewSource(seeds[t]))
-		inBag := make([]bool, n)
-		idx := make([]int, n)
-		for i := range idx {
-			idx[i] = treeRNG.Intn(n)
-			inBag[idx[i]] = true
-		}
-		tree := buildClassTree(ds, idx, treeCfg, 0, treeRNG)
-		f.trees[t] = tree
-		pred := make([]int32, n)
-		for i, s := range ds.Samples {
-			if inBag[i] {
-				pred[i] = -1
-				continue
-			}
-			node := tree
-			for !node.isLeaf() {
-				if s.Features[node.feature] <= node.threshold {
-					node = node.left
-				} else {
-					node = node.right
-				}
-			}
-			pred[i] = int32(node.label)
-		}
-		oobPred[t] = pred
-	})
-	f.finishFit(ds, oobPred)
-	return nil
 }
 
 // Predict implements Classifier by majority vote over the trees. Votes
@@ -281,7 +234,7 @@ func (f *RandomForest) PredictBatch(xs [][]float64, out []int) error {
 
 // vote casts every member tree's flat-walk vote into votes (zeroed,
 // nclass-long) and returns the winning class; ties break toward the lower
-// class ID, exactly like the pointer-tree implementation did.
+// class ID.
 func (f *RandomForest) vote(x []float64, votes []int) int {
 	for _, r := range f.roots {
 		votes[flatLeaf(f.flat, r, x).label]++
@@ -308,29 +261,5 @@ func voteScratch(buf []int, n int) []int {
 	return votes
 }
 
-// predictPointer is the pre-compilation pointer walk, kept as the reference
-// implementation for the flat-vs-pointer property tests and benchmarks.
-func (f *RandomForest) predictPointer(x []float64) int {
-	votes := make([]int, f.nclass)
-	for _, t := range f.trees {
-		n := t
-		for !n.isLeaf() {
-			if x[n.feature] <= n.threshold {
-				n = n.left
-			} else {
-				n = n.right
-			}
-		}
-		votes[n.label]++
-	}
-	best, bestN := 0, -1
-	for c, v := range votes {
-		if v > bestN {
-			best, bestN = c, v
-		}
-	}
-	return best
-}
-
 // NumTrees returns how many trees were trained.
-func (f *RandomForest) NumTrees() int { return len(f.trees) }
+func (f *RandomForest) NumTrees() int { return len(f.roots) }

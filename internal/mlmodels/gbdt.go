@@ -41,12 +41,9 @@ func (c GBDTConfig) withDefaults() GBDTConfig {
 // class to the negative gradient (one-hot minus predicted probability) and
 // uses the standard Newton leaf value.
 type GBDT struct {
-	cfg GBDTConfig
-	// trees is the pointer-tree grid (serialization source of truth);
-	// prediction walks the shared flat arena instead.
-	trees  [][]*treeNode // trees[round][class]
-	flat   []flatNode    // every round's trees compiled contiguously
-	roots  [][]int32     // roots[round][class] arena offsets
+	cfg    GBDTConfig
+	flat   []flatNode // every round's trees, end to end (see flat.go)
+	roots  [][]int32  // roots[round][class] arena offsets
 	nfeat  int
 	nclass int
 	prior  []float64 // initial log-odds per class
@@ -70,7 +67,7 @@ func (g *GBDT) Name() string { return "GBDT" }
 // every round, feature order never does), class trees draw reusable
 // scratches from a free list, and each round's trees grow by linear scans.
 // The fitted model is byte-identical to the legacy per-node-sorting builder
-// (fitLegacy) at every worker count.
+// (legacy_test.go) at every worker count.
 func (g *GBDT) Fit(ds *Dataset) error {
 	if ds == nil || ds.Len() == 0 {
 		return ErrEmptyDataset
@@ -79,7 +76,8 @@ func (g *GBDT) Fit(ds *Dataset) error {
 	k, scores := g.initBoost(ds)
 	rng := rand.New(rand.NewSource(g.cfg.Seed))
 
-	g.trees = make([][]*treeNode, 0, g.cfg.NumRounds)
+	var flat []flatNode
+	roots := make([][]int32, 0, g.cfg.NumRounds)
 	kf := float64(k)
 	workers := g.cfg.Workers
 	// The per-class trees own the worker budget; each scans its features
@@ -116,6 +114,9 @@ func (g *GBDT) Fit(ds *Dataset) error {
 	for c := range residuals {
 		residuals[c] = make([]float64, n)
 	}
+	// classTrees[c] holds the current round's class-c tree, copied out of
+	// the scratch that grew it; the buffers are reused every round.
+	classTrees := make([][]flatNode, k)
 	for round := 0; round < g.cfg.NumRounds; round++ {
 		// Residuals for every class under the current model; each sample's
 		// row is independent, so the pass fans out over sample chunks.
@@ -139,26 +140,31 @@ func (g *GBDT) Fit(ds *Dataset) error {
 		for c := range seeds {
 			seeds[c] = rng.Int63()
 		}
-		roundTrees := make([]*treeNode, k)
 		parallel.For(workers, k, func(c int) {
 			classRNG := rand.New(rand.NewSource(seeds[c]))
 			ts := <-g.fit.free
 			ts.beginFull()
 			copy(ts.tgt[:n], residuals[c])
-			roundTrees[c] = ts.growReg(treeCfg, classRNG, 0, n, 0, leaf)
+			ts.growReg(treeCfg, classRNG, 0, n, 0, leaf)
+			classTrees[c] = append(classTrees[c][:0], ts.nodes...)
 			g.fit.free <- ts
 		})
 		// Update scores with the shrunken tree outputs.
 		parallel.ForChunks(workers, n, func(_, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				for c := 0; c < k; c++ {
-					scores[i][c] += g.cfg.LearningRate * predictReg(roundTrees[c], ds.Samples[i].Features)
+					scores[i][c] += g.cfg.LearningRate * flatLeaf(classTrees[c], 0, ds.Samples[i].Features).leafValue()
 				}
 			}
 		})
-		g.trees = append(g.trees, roundTrees)
+		offs := make([]int32, k)
+		for c, tree := range classTrees {
+			offs[c] = int32(len(flat))
+			flat = append(flat, tree...)
+		}
+		roots = append(roots, offs)
 	}
-	g.flat, g.roots = compileRounds(g.trees)
+	g.flat, g.roots = flat, roots
 	g.nfeat = ds.NumFeatures
 	g.nclass = k
 	g.fitted = true
@@ -166,7 +172,7 @@ func (g *GBDT) Fit(ds *Dataset) error {
 }
 
 // initBoost computes the Laplace-smoothed log priors and the per-sample
-// score matrix both builders start from.
+// score matrix both builders (Fit and the legacy reference) start from.
 func (g *GBDT) initBoost(ds *Dataset) (k int, scores [][]float64) {
 	n := ds.Len()
 	k = ds.NumClasses
@@ -191,81 +197,10 @@ func (g *GBDT) initBoost(ds *Dataset) (k int, scores [][]float64) {
 	return k, scores
 }
 
-// fitLegacy is the pre-sorted trainer's reference implementation: the
-// original builder that re-sorts every feature at every node and round,
-// retained for the golden equivalence suite and the recorded before/after
-// benchmarks.
-func (g *GBDT) fitLegacy(ds *Dataset) error {
-	if ds == nil || ds.Len() == 0 {
-		return ErrEmptyDataset
-	}
-	n := ds.Len()
-	k, scores := g.initBoost(ds)
-	rng := rand.New(rand.NewSource(g.cfg.Seed))
-
-	g.trees = make([][]*treeNode, 0, g.cfg.NumRounds)
-	kf := float64(k)
-	workers := g.cfg.Workers
-	leaf := func(rows []regTarget) float64 {
-		var num, den float64
-		for _, r := range rows {
-			num += r.target
-			a := math.Abs(r.target)
-			den += a * (1 - a)
-		}
-		if den < 1e-12 {
-			return 0
-		}
-		return (kf - 1) / kf * num / den
-	}
-	residuals := make([][]regTarget, k)
-	for c := range residuals {
-		residuals[c] = make([]regTarget, n)
-	}
-	for round := 0; round < g.cfg.NumRounds; round++ {
-		parallel.ForChunks(workers, n, func(_, lo, hi int) {
-			probs := make([]float64, k)
-			for i := lo; i < hi; i++ {
-				softmaxInto(scores[i], probs)
-				for c := 0; c < k; c++ {
-					y := 0.0
-					if ds.Samples[i].Label == c {
-						y = 1.0
-					}
-					residuals[c][i] = regTarget{idx: i, target: y - probs[c]}
-				}
-			}
-		})
-		seeds := make([]int64, k)
-		for c := range seeds {
-			seeds[c] = rng.Int63()
-		}
-		roundTrees := make([]*treeNode, k)
-		parallel.For(workers, k, func(c int) {
-			classRNG := rand.New(rand.NewSource(seeds[c]))
-			roundTrees[c] = buildRegTree(ds, residuals[c], g.cfg.Tree, 0, classRNG, leaf)
-		})
-		parallel.ForChunks(workers, n, func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				for c := 0; c < k; c++ {
-					scores[i][c] += g.cfg.LearningRate * predictReg(roundTrees[c], ds.Samples[i].Features)
-				}
-			}
-		})
-		g.trees = append(g.trees, roundTrees)
-	}
-	g.flat, g.roots = compileRounds(g.trees)
-	g.nfeat = ds.NumFeatures
-	g.nclass = k
-	g.fitted = true
-	return nil
-}
-
 // Predict implements Classifier. Score accumulators live in a fixed stack
-// buffer and the trees are walked in the compiled arena, so a call allocates
-// nothing. Accumulation order (round-major, then class) matches the
-// pointer-tree implementation exactly, keeping the floating-point scores —
-// and therefore the argmax — byte-identical.
+// buffer and the trees are walked in the node arena, so a call allocates
+// nothing. Scores accumulate round-major, then by class — the order Fit's
+// per-round score update uses.
 func (g *GBDT) Predict(x []float64) (int, error) {
 	if !g.fitted {
 		return 0, ErrNotFitted
@@ -324,27 +259,8 @@ func scoreScratch(buf []float64, n int) []float64 {
 	return buf[:n]
 }
 
-// predictPointer is the pre-compilation pointer walk, kept as the reference
-// implementation for the flat-vs-pointer property tests and benchmarks.
-func (g *GBDT) predictPointer(x []float64) int {
-	scores := make([]float64, g.nclass)
-	copy(scores, g.prior)
-	for _, round := range g.trees {
-		for c, t := range round {
-			scores[c] += g.cfg.LearningRate * predictReg(t, x)
-		}
-	}
-	best, bestS := 0, math.Inf(-1)
-	for c, s := range scores {
-		if s > bestS {
-			best, bestS = c, s
-		}
-	}
-	return best
-}
-
 // Rounds returns how many boosting rounds were trained.
-func (g *GBDT) Rounds() int { return len(g.trees) }
+func (g *GBDT) Rounds() int { return len(g.roots) }
 
 // softmaxInto writes softmax(scores) into out (same length), using the
 // max-subtraction trick for numerical stability.
